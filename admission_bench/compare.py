@@ -3,13 +3,14 @@
 
     python3 admission_bench/compare.py runs/parent.jsonl runs/change.jsonl
 
-Reads the untraced records sweep.py wrote, pairs the runs of the two sets
-by (workload, seed) and prints, per workload and end-to-end metric, each
-side's median and quartiles, the share of pairs the change won (ties count
-for neither side), and a verdict. Gated metrics use their bound from
-BENCHMARK.json; the reported-only ones (latency percentiles, throughput,
-switch figures) are judged against the largest bound a gated metric may
-have, 0.25, and marked "(reported)". The verdicts:
+Reads the records sweep.py wrote (untraced runs), pairs the runs of the
+two sets by (workload, seed) and prints, per workload and end-to-end
+metric, each side's median and quartiles, the share of pairs the change
+won (ties count for neither side), and a verdict. Gated metrics use
+their bound from BENCHMARK.json; the reported-only ones (latency
+percentiles, throughput, switch figures) are judged against the largest
+bound a gated metric may have, 0.25, and marked "(reported)". The
+verdicts:
 
   improved    the change won at least 9 in 10 pairs and the medians differ,
               in its favour, by more than the parent's quartile distance;
@@ -38,11 +39,10 @@ def load(path):
     runs = {}
     for line in pathlib.Path(path).read_text().splitlines():
         record = json.loads(line)
-        if record.get("trace", 0) == 0:
-            values = {n: m["value"] for n, m in record.get("all", {}).items()}
-            values.update({n: m["value"] for n, m in
-                           record["result"]["metrics"].items()})
-            runs[(record["workload"], record["seed"])] = values
+        values = {n: m["value"] for n, m in record.get("all", {}).items()}
+        values.update({n: m["value"] for n, m in
+                       record["result"]["metrics"].items()})
+        runs[(record["workload"], record["seed"])] = values
     return runs
 
 

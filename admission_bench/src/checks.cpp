@@ -1,5 +1,8 @@
 #include "checks.hpp"
 
+#include <cstdint>
+#include <utility>
+
 #include "core/mapper.hpp"
 #include "core/resource_state.hpp"
 
@@ -40,6 +43,54 @@ void check_replay(const rtsm::runtime::ConcurrentRuntimeManager& manager,
   }
   if (!manager.state_snapshot().approx_equals(replayed)) {
     checks.fail(where + ": replayed state differs from the live state");
+  }
+}
+
+void check_tallies(const Tally& client, const LayerCounters& before,
+                   const LayerCounters& after, bool fleet,
+                   const std::string& where, Checks& checks) {
+  const LayerCounters d = after.since(before);
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  Tally expected = client;
+  if (fleet) {
+    if (d.dispatches != client.offered) {
+      checks.fail(where + ": fleet dispatched " + n(d.dispatches) +
+                  " requests, the benchmark submitted " + n(client.offered));
+    }
+    if (d.spill_failures != client.rejected) {
+      checks.fail(where + ": fleet rejected " + n(d.spill_failures) +
+                  " requests after spill-over, the benchmark saw " +
+                  n(client.rejected) + " rejected");
+    }
+    expected.offered = d.dispatches + d.spills;
+    expected.rejected =
+        expected.offered - client.admitted - client.deadline_missed;
+  }
+  const Tally& seen = d.admissions;
+  if (seen.offered != expected.offered + d.preemption_evictions) {
+    checks.fail(where + ": managers counted " + n(seen.offered) +
+                " offered requests, expected " + n(expected.offered) + " + " +
+                n(d.preemption_evictions) + " preemption victims");
+  }
+  // Outcomes beyond the expected ones can only be victims resolving.
+  const std::pair<std::uint64_t, std::uint64_t> outcomes[] = {
+      {seen.admitted, expected.admitted},
+      {seen.rejected, expected.rejected},
+      {seen.deadline_missed, expected.deadline_missed}};
+  std::uint64_t extra = 0;
+  bool short_count = false;
+  for (const auto& [counted, wanted] : outcomes) {
+    short_count = short_count || counted < wanted;
+    if (counted > wanted) extra += counted - wanted;
+  }
+  if (short_count || extra > before.parked + d.preemption_evictions) {
+    checks.fail(where + ": managers counted " + n(seen.admitted) +
+                " admitted, " + n(seen.rejected) + " rejected, " +
+                n(seen.deadline_missed) + " deadline-missed; the benchmark "
+                "saw " + n(expected.admitted) + ", " + n(expected.rejected) +
+                ", " + n(expected.deadline_missed) + " (victims that may "
+                "resolve in the phase: " +
+                n(before.parked + d.preemption_evictions) + ")");
   }
 }
 

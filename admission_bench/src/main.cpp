@@ -284,6 +284,21 @@ void print_samples(const Aggregate& a) {
       static_cast<unsigned long long>(e.switches), e.timed_s);
 }
 
+/// Whether fleet-open keeps up with its arrival rate: queue wait of the
+/// requests due in the first half of the timed window against the second.
+void print_backlog(const Aggregate& a) {
+  const LayerSamples& l = a.layers;
+  std::printf(
+      "# backlog check: queue wait p50 %.1f -> %.1f us, p99 %.1f -> %.1f us "
+      "(requests due in the first half of the window -> the second half; "
+      "%zu -> %zu requests)\n",
+      percentile(l.queue_wait_early_us, 50),
+      percentile(l.queue_wait_late_us, 50),
+      percentile(l.queue_wait_early_us, 99),
+      percentile(l.queue_wait_late_us, 99), l.queue_wait_early_us.size(),
+      l.queue_wait_late_us.size());
+}
+
 /// What the traced fleet-open run says about where the wall-clock goes:
 /// failed mapper calls (first choices and spill-over retries that found
 /// no placement) against queue wait.
@@ -363,12 +378,6 @@ int run(const Args& args) {
       config.sampler = &sampler;
       config.rate_per_s = args.rate;
       const PassResult r = workload.run(config, checks);
-      const EndToEnd& e = r.e2e;
-      if (e.offered != e.admitted + e.rejected + e.deadline_missed) {
-        checks.fail("pass " + std::to_string(k) + ": offered " +
-                    std::to_string(e.offered) +
-                    " != admitted + rejected + deadline-missed");
-      }
       (traced_pass ? traced : untraced).add(r);
       attempted += r.attempted;
       failed += r.failed;
@@ -390,6 +399,7 @@ int run(const Args& args) {
   const std::vector<Metric> extra = report_only(untraced, workload);
   print_metrics("end-to-end, gated (untraced passes)", e2e);
   print_metrics("end-to-end, reported (untraced passes)", extra);
+  if (args.workload == "fleet-open") print_backlog(untraced);
   std::vector<Metric> all = extra;
   all.insert(all.end(), e2e.begin(), e2e.end());
   std::printf("# all-metrics %s\n", metrics_json(all).c_str());

@@ -53,6 +53,12 @@ LayerCounters LayerCounters::read(
   LayerCounters c;
   for (const auto* manager : managers) {
     const rtsm::runtime::AdmissionStats s = manager->stats();
+    c.admissions.offered += s.offered;
+    c.admissions.admitted += s.admitted;
+    c.admissions.rejected += s.rejected;
+    c.admissions.deadline_missed += s.deadline_misses;
+    c.preemption_evictions += s.preemption_evictions;
+    c.parked += manager->waiting_count();
     c.conflicts += s.conflicts;
     c.preemption_grants += s.preemption_grants;
     c.delta_refreshes += s.snapshot_delta_refreshes;
@@ -75,6 +81,9 @@ LayerCounters LayerCounters::read(
 
 LayerCounters LayerCounters::since(const LayerCounters& before) const {
   LayerCounters d;
+  d.admissions = admissions.minus(before.admissions);
+  d.preemption_evictions = preemption_evictions - before.preemption_evictions;
+  d.parked = before.parked;
   d.conflicts = conflicts - before.conflicts;
   d.preemption_grants = preemption_grants - before.preemption_grants;
   d.delta_refreshes = delta_refreshes - before.delta_refreshes;
@@ -95,6 +104,12 @@ LayerCounters LayerCounters::since(const LayerCounters& before) const {
 }
 
 void LayerCounters::merge(const LayerCounters& o) {
+  admissions.offered += o.admissions.offered;
+  admissions.admitted += o.admissions.admitted;
+  admissions.rejected += o.admissions.rejected;
+  admissions.deadline_missed += o.admissions.deadline_missed;
+  preemption_evictions += o.preemption_evictions;
+  parked += o.parked;
   conflicts += o.conflicts;
   preemption_grants += o.preemption_grants;
   delta_refreshes += o.delta_refreshes;

@@ -94,9 +94,35 @@ struct EndToEnd {
   }
 };
 
+/// Admission requests and how they resolved.
+struct Tally {
+  std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t deadline_missed = 0;
+
+  /// The client's side: what the benchmark submitted and saw resolve.
+  [[nodiscard]] static Tally of(const EndToEnd& e) {
+    return {e.offered, e.admitted, e.rejected, e.deadline_missed};
+  }
+  [[nodiscard]] Tally minus(const Tally& o) const {
+    return {offered - o.offered, admitted - o.admitted, rejected - o.rejected,
+            deadline_missed - o.deadline_missed};
+  }
+};
+
 /// Counters of the manager layers over a timed phase (differences of the
 /// program's own cumulative stats, taken around the phase).
 struct LayerCounters {
+  /// The managers' own admission tallies (AdmissionStats offered,
+  /// admitted, rejected, deadline_misses), summed over the fleet.
+  Tally admissions;
+  /// Preemption victims evicted; each re-enters the manager's stream as a
+  /// request of its own, not one the benchmark submitted.
+  std::uint64_t preemption_evictions = 0;
+  /// Requests parked when read (not a difference: since() keeps the
+  /// earlier reading, the victims that may resolve inside the phase).
+  std::uint64_t parked = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t preemption_grants = 0;
   std::uint64_t delta_refreshes = 0;
@@ -127,7 +153,7 @@ struct LayerCounters {
   void merge(const LayerCounters& o);
 };
 
-/// Per-request layer samples of the traced passes.
+/// Per-request layer samples of a pass.
 struct LayerSamples {
   LayerCounters counters;
   /// Resolve latency minus the outcome's mapping_us.
@@ -136,6 +162,10 @@ struct LayerSamples {
   /// Resolve latency of admissions served by / missing the shape library.
   std::vector<double> shape_hit_admit_us;
   std::vector<double> shape_miss_admit_us;
+  /// fleet-open: queue wait of the requests due in the first and in the
+  /// second half of the timed window (a growing backlog shows as a rise).
+  std::vector<double> queue_wait_early_us;
+  std::vector<double> queue_wait_late_us;
   std::uint64_t passes = 0;
 
   void merge(const LayerSamples& o) {
@@ -147,6 +177,8 @@ struct LayerSamples {
     append(release_us, o.release_us);
     append(shape_hit_admit_us, o.shape_hit_admit_us);
     append(shape_miss_admit_us, o.shape_miss_admit_us);
+    append(queue_wait_early_us, o.queue_wait_early_us);
+    append(queue_wait_late_us, o.queue_wait_late_us);
     passes += o.passes;
   }
 };

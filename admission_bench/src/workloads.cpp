@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "checks.hpp"
@@ -322,11 +323,18 @@ class ClosedLoopClient {
     if (config_->traced) config_->tracer->record("switch_mode", start, end);
   }
 
-  [[nodiscard]] bool is_running(AppId id) const {
+  /// Whether @p id still runs (a preemption may have evicted it). The
+  /// lookup is the benchmark's bookkeeping, not the program's work: its
+  /// wall-clock is kept in bookkeeping_s() for the timed phase to leave out.
+  [[nodiscard]] bool is_running(AppId id) {
+    const auto start = Clock::now();
     const std::vector<AppId> ids = manager_->running_ids();
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
+    const bool running = std::find(ids.begin(), ids.end(), id) != ids.end();
+    bookkeeping_s_ += us_between(start, Clock::now()) / 1e6;
+    return running;
   }
 
+  [[nodiscard]] double bookkeeping_s() const { return bookkeeping_s_; }
   [[nodiscard]] std::uint64_t digest() const { return digest_.value(); }
 
  private:
@@ -335,6 +343,7 @@ class ClosedLoopClient {
   PassResult* result_;
   Checks* checks_;
   Digest digest_;
+  double bookkeeping_s_ = 0.0;
 };
 
 }  // namespace
@@ -378,8 +387,10 @@ PassResult run_mesh_churn(const PassConfig& config, Checks& checks) {
   for (const auto& app : apps) churn(rng, app, true);
   result.e2e.timed_s = us_between(timed_start, Clock::now()) / 1e6;
   if (config.traced) config.tracer->set_recording(false);
-  result.layers.counters =
-      LayerCounters::read({&manager}, *library).since(before);
+  const LayerCounters after = LayerCounters::read({&manager}, *library);
+  check_tallies(Tally::of(result.e2e), before, after, false, "mesh-churn",
+                checks);
+  result.layers.counters = after.since(before);
   result.layers.passes = 1;
   result.digest = client.digest();
 
@@ -454,14 +465,18 @@ PassResult run_hiperlan_modes(const PassConfig& config, Checks& checks) {
     runtime::ConcurrentRuntimeManager manager(
         *platform, {.mapper = mapper, .shapes = library}, {.workers = 0});
     ClosedLoopClient client(manager, config, result, checks);
+    const Tally client_before = Tally::of(result.e2e);
     const LayerCounters before = LayerCounters::read({&manager}, *library);
     if (config.traced) config.tracer->set_recording(true);
     const auto timed_start = Clock::now();
     replay_schedule(schedule, client, true);
-    result.e2e.timed_s += us_between(timed_start, Clock::now()) / 1e6;
+    result.e2e.timed_s += us_between(timed_start, Clock::now()) / 1e6 -
+                          client.bookkeeping_s();
     if (config.traced) config.tracer->set_recording(false);
-    result.layers.counters.merge(
-        LayerCounters::read({&manager}, *library).since(before));
+    const LayerCounters after = LayerCounters::read({&manager}, *library);
+    check_tallies(Tally::of(result.e2e).minus(client_before), before, after,
+                  false, "hiperlan-modes", checks);
+    result.layers.counters.merge(after.since(before));
     digest.add(client.digest());
     check_replay(manager, *platform, "hiperlan-modes", checks);
   }
@@ -536,33 +551,36 @@ PassResult run_fleet_open(const PassConfig& config, Checks& checks) {
   runtime::FleetManager fleet(*platform, options);
 
   // Warm-up: the catalogue admitted kFleetWarmupRounds times over, so
-  // shapes are learned at rising occupancy, then everything released.
-  std::vector<AppId> warm;
+  // shapes are learned at rising occupancy. The apps stay running, each
+  // with a seeded residual hold (exponential, memoryless like the holds
+  // themselves): the timed phase starts near the steady occupancy, rate x
+  // mean hold (60 apps at 100/s), instead of ramping up from an empty fleet.
+  std::vector<std::pair<double, AppId>> prefill;
   for (std::size_t round = 0; round < kFleetWarmupRounds; ++round) {
     for (const PoolApp& p : pool) {
+      const double residual_hold_s = exponential(rng, kFleetMeanHoldS);
       const runtime::AdmitOutcome out = fleet.admit(*p.app, 0.0, p.cls);
       check_outcome(*p.app, out, checks);
       if (out.status == runtime::AdmitStatus::Admitted) {
-        warm.push_back(out.app_id);
+        prefill.emplace_back(residual_hold_s, out.app_id);
       }
-    }
-  }
-  for (const AppId id : warm) {
-    if (!fleet.release(id)) {
-      ++result.failed;
-      checks.fail("fleet warm-up release returned false");
     }
   }
   result.setup_s = us_between(setup_start, Clock::now()) / 1e6;
 
   // Timed phase: this thread is the generator. It submits each arrival
   // when due, notes when each future resolves, and releases each admitted
-  // app once its hold time has passed.
+  // app, the warm-up ones included, once its hold time has passed.
   const LayerCounters before = fleet_counters(fleet, *library);
   std::vector<InFlight> in_flight;
   std::multimap<Clock::time_point, AppId> holds;
   if (config.traced) config.tracer->set_recording(true);
   const auto start = Clock::now();
+  for (const auto& [hold_s, id] : prefill) {
+    holds.emplace(start + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(hold_s)),
+                  id);
+  }
   // A request still unresolved this long after the last arrival was due
   // will not resolve: fail the run instead of spinning forever.
   const auto give_up = start + std::chrono::seconds(60) +
@@ -601,8 +619,12 @@ PassResult run_fleet_open(const PassConfig& config, Checks& checks) {
       const runtime::AdmitOutcome out = f.future.get();
       const kpn::Application& app = *f.arrival->app;
       check_outcome(app, out, checks);
-      account_admission(app, out, us_between(f.due, resolved), result, checks,
-                        nullptr);
+      const double latency_us = us_between(f.due, resolved);
+      account_admission(app, out, latency_us, result, checks, nullptr);
+      (f.arrival->due_s < kFleetOpenSeconds / 2
+           ? result.layers.queue_wait_early_us
+           : result.layers.queue_wait_late_us)
+          .push_back(std::max(0.0, latency_us - out.mapping_us));
       if (config.traced) {
         config.tracer->record("request", f.due, resolved, &app,
                               out.status == runtime::AdmitStatus::Admitted);
@@ -637,7 +659,10 @@ PassResult run_fleet_open(const PassConfig& config, Checks& checks) {
   }
   result.e2e.timed_s = us_between(start, Clock::now()) / 1e6;
   if (config.traced) config.tracer->set_recording(false);
-  result.layers.counters = fleet_counters(fleet, *library).since(before);
+  const LayerCounters after = fleet_counters(fleet, *library);
+  check_tallies(Tally::of(result.e2e), before, after, true, "fleet-open",
+                checks);
+  result.layers.counters = after.since(before);
   result.layers.passes = 1;
 
   fleet.wait_idle();

@@ -6,9 +6,11 @@
         --checkout parent=../parent-checkout --checkout change=.
 
 Each checkout (default: this one, named "this") runs every workload once
-per seed through its own admission_bench/run.py; with several checkouts the
-order alternates from seed to seed. Results go to <out>/<name>.jsonl, one
-{"workload", "seed", "trace", "result", "all"} object per line, which
+per seed through its own admission_bench/run.py, untraced and for
+BENCHMARK.json's run_seconds; with several checkouts the order alternates
+from seed to seed. Traced runs are run.py --trace 1 on their own. Results
+go to <out>/<name>.jsonl, one {"workload", "seed", "result", "all"} object
+per line, which
 compare.py reads: "result" is the run's JSON result line, "all" every
 end-to-end metric of its "# all-metrics" report line, gated or not.
 Afterwards the spread of each end-to-end metric over the seeds — (q3 - q1)
@@ -35,10 +37,10 @@ def seed_list(text):
     return seeds
 
 
-def run_once(root, workload, seed, seconds, trace):
+def run_once(root, workload, seed):
     cmd = [sys.executable, str(root / "admission_bench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -80,9 +82,6 @@ def main():
     parser.add_argument("--workloads",
                         default=",".join(w["name"]
                                          for w in BENCHMARK["workloads"]))
-    parser.add_argument("--seconds", type=float,
-                        default=BENCHMARK["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--checkout", action="append", default=[],
                         metavar="NAME=DIR")
     args = parser.parse_args()
@@ -97,19 +96,16 @@ def main():
             order = checkouts[i % len(checkouts):] + \
                 checkouts[:i % len(checkouts)]
             for name, root in order:
-                result, every = run_once(root, workload, seed, args.seconds,
-                                         args.trace)
+                result, every = run_once(root, workload, seed)
                 record = {"workload": workload, "seed": seed,
-                          "trace": args.trace, "result": result,
-                          "all": every}
+                          "result": result, "all": every}
                 records[name].append(record)
                 with open(args.out / f"{name}.jsonl", "a") as f:
                     f.write(json.dumps(record) + "\n")
                 print(f"{name} {workload} seed {seed}: done", flush=True)
-    if args.trace == 0:
-        for name, recs in records.items():
-            print(f"\n== {name}")
-            spread_table(recs)
+    for name, recs in records.items():
+        print(f"\n== {name}")
+        spread_table(recs)
 
 
 if __name__ == "__main__":
